@@ -77,10 +77,10 @@ bool RunConfig(const workloads::Workload& w, const Config& cfg,
 
   api::OptimizeOptions options;
   // The ablation's `plans` column and strategy-mix counters quantify over
-  // the FULL closure per feature config — use the exhaustive search, and
-  // keep every row an independent optimization (configs that share a cache
-  // key across workload repeats would alias).
-  options.search = core::SearchMode::kClosure;
+  // the FULL closure per feature config — rank every plan, and keep every
+  // row an independent optimization (configs that share a cache key across
+  // workload repeats would alias).
+  options.top_k = core::kAllAlternatives;
   options.use_plan_cache = false;
   options.exec.dop = 8;
   options.exec.mem_budget_bytes = cfg.mem_budget_bytes;

@@ -39,10 +39,9 @@ struct BenchConfig {
   const api::AnnotationProvider* provider = nullptr;
   int picks = 10;  // plans sampled at regular rank intervals
   int reps = 3;    // repetitions per plan (the fastest run is reported)
-  /// Worker threads for both plan costing and partition execution (the
-  /// single thread knob — it overrides exec.num_threads). Results are
-  /// thread-count-invariant (the determinism contract); this only moves
-  /// real wall time.
+  /// Worker threads for partition execution (overrides exec.num_threads;
+  /// optimization is serial). Results are thread-count-invariant (the
+  /// determinism contract); this only moves real wall time.
   int num_threads = 1;
   engine::ExecOptions exec;
 

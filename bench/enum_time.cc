@@ -1,10 +1,14 @@
 // §7.3 "Enumeration Time": plan enumeration took < 1654 ms for every
 // evaluation task with the naive (enumerate-all-then-cost) implementation.
-// This driver measures that naive closure pipeline against the ranked
-// anytime search (DESIGN.md §3.4) on the three seed workloads and writes
+// This driver measures the full closure ranking (the ranked search at
+// top_k = core::kAllAlternatives) against the anytime top-k search
+// (DESIGN.md §3.4) on the three seed workloads and writes
 // BENCH_enum_time.json: per-workload closure vs ranked optimize wall,
 // search counters (plans enumerated / pruned / stopped_early), and whether
-// the ranked top-1 reaches the closure's best cost.
+// the ranked top-1 reaches the closure's best cost. Exits non-zero if the
+// top-1 costs differ, if the closure run pruned a plan or stopped early
+// (top_k = kAllAlternatives must cost every discovered plan), or if a
+// --cache-warm lookup missed.
 //
 // Flags: --top-k N      ranked alternatives to keep (default 8)
 //        --cache-warm   also measure plan-cache cold vs warm optimize wall
@@ -40,6 +44,7 @@ struct WorkloadResult {
   ModeResult closure;
   ModeResult ranked;
   bool best_cost_equal = false;
+  bool closure_complete = false;  // closure run: 0 pruned, no early stop
   double speedup = 0;  // closure wall / ranked wall
   // --cache-warm only:
   bool cache_measured = false;
@@ -109,7 +114,7 @@ int main(int argc, char** argv) {
     wr.name = names[i];
 
     api::OptimizeOptions closure_opts;
-    closure_opts.search = core::SearchMode::kClosure;
+    closure_opts.top_k = core::kAllAlternatives;
     closure_opts.use_plan_cache = false;
     StatusOr<ModeResult> closure = Measure(tasks[i], closure_opts, reps);
     if (!closure.ok()) {
@@ -120,7 +125,6 @@ int main(int argc, char** argv) {
     wr.closure = std::move(closure).value();
 
     api::OptimizeOptions ranked_opts;
-    ranked_opts.search = core::SearchMode::kRanked;
     ranked_opts.top_k = top_k;
     ranked_opts.use_plan_cache = false;
     StatusOr<ModeResult> ranked = Measure(tasks[i], ranked_opts, reps);
@@ -135,6 +139,8 @@ int main(int argc, char** argv) {
     double rb = wr.ranked.program.best().cost;
     wr.best_cost_equal =
         std::fabs(cb - rb) <= 1e-9 * std::max(1.0, std::fabs(cb));
+    wr.closure_complete = wr.closure.program.plans_pruned() == 0 &&
+                          !wr.closure.program.stopped_early();
     wr.speedup = wr.ranked.wall_seconds > 0
                      ? wr.closure.wall_seconds / wr.ranked.wall_seconds
                      : 0;
@@ -190,7 +196,7 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const WorkloadResult& wr : results) {
-    if (!wr.best_cost_equal) ok = false;
+    if (!wr.best_cost_equal || !wr.closure_complete) ok = false;
     if (wr.cache_measured && !wr.cache_warm_hit) ok = false;
   }
 
@@ -254,7 +260,8 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::fprintf(stderr,
                  "enum_time FAILED: ranked top-1 missed the closure best "
-                 "cost, or a warm cache lookup missed\n");
+                 "cost, the closure run pruned or stopped early, or a warm "
+                 "cache lookup missed\n");
     return 1;
   }
   std::printf("enum_time OK — wrote BENCH_enum_time.json\n");

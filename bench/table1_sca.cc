@@ -21,9 +21,9 @@ using namespace blackbox;
 size_t Count(const dataflow::DataFlow& flow,
              const api::AnnotationProvider& provider) {
   // Table 1 reports the size of the FULL reorder closure each annotation
-  // source admits — the exhaustive search, not the anytime one.
+  // source admits — every plan ranked, not the anytime top-k.
   api::OptimizeOptions options;
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllAlternatives;
   options.use_plan_cache = false;
   StatusOr<api::OptimizedProgram> program =
       api::OptimizeFlow(flow, provider, options);

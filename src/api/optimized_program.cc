@@ -153,11 +153,8 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   core::BlackBoxOptimizer::Options copts;
   copts.weights = options.weights;
   copts.enum_options = options.enum_options;
-  copts.search = options.search;
   copts.top_k = options.top_k;
   copts.cost_epsilon = options.cost_epsilon;
-  copts.num_threads =
-      options.num_threads > 0 ? options.num_threads : options.exec.num_threads;
   if (options.cost_model_follows_exec) {
     // Estimates and measured runs must describe the same simulated cluster.
     // A caller-supplied cost-model cluster that contradicts the exec cluster
@@ -185,9 +182,8 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
 
   // Plan-cache lookup BEFORE annotation: a hit skips UDF analysis too. The
   // key is built from the resolved weights and search knobs, so any change
-  // that could alter a plan or a cost misses. num_threads is execution-only
-  // and deliberately absent (plans are thread-count-invariant by
-  // construction).
+  // that could alter a plan or a cost misses. exec.num_threads is
+  // execution-only and deliberately absent (the search is serial).
   OptimizedProgram program;
   program.sources_ = sources;
   program.exec_ = options.exec;
@@ -203,7 +199,7 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   if (cacheable) {
     cache_key = optimizer::PlanCacheKey(
         flow, provider.name(), copts.weights, copts.enum_options,
-        static_cast<int>(copts.search), copts.top_k, copts.cost_epsilon);
+        copts.top_k, copts.cost_epsilon);
     if (std::shared_ptr<const optimizer::PlanCacheValue> hit =
             optimizer::PlanCache::Global().Lookup(cache_key)) {
       program.result_ =
@@ -232,7 +228,7 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
     std::fprintf(stderr,
                  "warning: plan enumeration hit max_plans=%zu; ranking "
                  "covers a partial plan space of %zu alternatives\n",
-                 options.enum_options.max_plans, result->ranked.size());
+                 options.enum_options.max_plans, result->num_alternatives);
   }
 
   auto shared = std::make_shared<const core::OptimizationResult>(

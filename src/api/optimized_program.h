@@ -32,13 +32,11 @@ struct OptimizeOptions {
   enumerate::EnumOptions enum_options;
   engine::ExecOptions exec;
 
-  /// Plan-space exploration (DESIGN.md §3.4). The default ranked search
-  /// costs plans best-first under an admissible bound and stops as soon as
-  /// the top_k cannot change; kClosure restores the materialize-everything
-  /// behavior (the oracle differential tests iterate it).
-  core::SearchMode search = core::SearchMode::kRanked;
-  /// Ranked alternatives to keep in kRanked mode. OptimizeFlow() rejects
-  /// top_k <= 0 with InvalidArgument.
+  /// Ranked alternatives to keep (DESIGN.md §3.4). The search costs plans
+  /// best-first under an admissible bound and stops as soon as the top_k
+  /// cannot change; core::kAllAlternatives costs and ranks every plan in
+  /// the reorder closure. OptimizeFlow() rejects top_k <= 0 with
+  /// InvalidArgument.
   int top_k = 8;
   /// Anytime slack (absolute cost units) for the ranked stop rule; 0 keeps
   /// the top-k exact over the discovered space. Negative values are
@@ -58,12 +56,6 @@ struct OptimizeOptions {
   /// OptimizeFlow() rejects caller-supplied weights that contradict exec.
   bool cost_model_follows_exec = true;
 
-  /// Worker threads for costing the enumerated alternatives (streamed
-  /// through a bounded queue, deterministically ranked — see
-  /// core::BlackBoxOptimizer::Options::num_threads). 0 (the default)
-  /// inherits exec.num_threads, so one knob drives both phases; set
-  /// explicitly to use different costing and execution parallelism.
-  int num_threads = 0;
 };
 
 /// An optimized, runnable program: the annotated flow plus all ranked
@@ -77,18 +69,18 @@ class OptimizedProgram {
   const dataflow::AnnotatedFlow& annotated() const { return res().annotated; }
 
   /// The ranked alternatives, ascending (cost, chain count, canonical form).
-  /// kRanked search: the top_k best; kClosure: every costed alternative.
+  /// The top_k best; every costed alternative at core::kAllAlternatives.
   const std::vector<core::PlannedAlternative>& ranked() const {
     return res().ranked;
   }
-  /// Plans discovered by the search (kClosure: the closure size).
+  /// Plans discovered by the search (the closure size at kAllAlternatives).
   size_t num_alternatives() const { return res().num_alternatives; }
-  /// Plans fully costed (== num_alternatives in kClosure mode).
+  /// Plans fully costed (== num_alternatives at kAllAlternatives).
   size_t plans_enumerated() const { return res().plans_enumerated; }
-  /// Ranked search only: plans discovered but pruned by the lower bound.
+  /// Plans discovered but pruned by the lower bound.
   size_t plans_pruned() const { return res().plans_pruned; }
-  /// Ranked search only: the anytime stop rule fired — the fast path, not an
-  /// error (the top-k is exact over the discovered space).
+  /// The anytime stop rule fired — the fast path, not an error (the top-k
+  /// is exact over the discovered space).
   bool stopped_early() const { return res().stopped_early; }
   /// True if enumeration hit EnumOptions::max_plans: ranked() covers only a
   /// partial closure and the true optimum may be missing. OptimizeFlow()
@@ -183,10 +175,10 @@ class OptimizedProgram {
   const void* origin_pipeline_ = nullptr;
 };
 
-/// Optimizes a pre-built logical flow: annotate via `provider`, enumerate all
-/// valid reorderings, cost and rank them. This is the bridge the workload /
-/// bench layers use for flows not built through a Pipeline; Pipeline::
-/// Optimize() lowers to it.
+/// Optimizes a pre-built logical flow: annotate via `provider`, search the
+/// valid reorderings best-first, and keep the top_k costed plans. This is
+/// the bridge the workload / bench layers use for flows not built through a
+/// Pipeline; Pipeline::Optimize() lowers to it.
 StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
                                         const AnnotationProvider& provider,
                                         const OptimizeOptions& options = {},

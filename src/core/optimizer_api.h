@@ -1,8 +1,8 @@
 // BlackBoxOptimizer — the public entry point tying the pipeline together
 // (paper Section 3): annotate the flow's UDFs (static code analysis or manual
-// annotations), enumerate every valid reordered alternative (Section 6),
-// cost each alternative with the physical optimizer (Section 7.1), and return
-// the ranked plan list.
+// annotations), search the valid reordered alternatives (Section 6)
+// best-first, cost them with the physical optimizer (Section 7.1), and return
+// the top_k ranked plans (every plan at top_k = kAllAlternatives).
 //
 // Typical use:
 //
@@ -17,6 +17,7 @@
 #ifndef BLACKBOX_CORE_OPTIMIZER_API_H_
 #define BLACKBOX_CORE_OPTIMIZER_API_H_
 
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -30,18 +31,10 @@
 namespace blackbox {
 namespace core {
 
-/// How the plan space is explored (DESIGN.md §3.4).
-enum class SearchMode {
-  /// Best-first anytime search: cost plans in lower-bound order, stop once
-  /// the top-k can no longer change (within cost_epsilon). The default —
-  /// optimize latency scales with the answer, not the closure.
-  kRanked,
-  /// Materialize the full reorder closure and cost every member (the
-  /// pre-PR 7 behavior). The oracle mode: differential tests iterate it to
-  /// validate the ranked search, and the bench figures keep using it so
-  /// "ranked list" retains its full-closure meaning there.
-  kClosure,
-};
+/// `top_k` value that ranks every plan the search discovers: the stop rule
+/// never fires, so the ranked search costs the full reorder closure (the
+/// k = infinity case of any-k enumeration; DESIGN.md §3.4).
+inline constexpr int kAllAlternatives = std::numeric_limits<int>::max();
 
 /// One costed alternative.
 struct PlannedAlternative {
@@ -54,27 +47,25 @@ struct PlannedAlternative {
 struct OptimizationResult {
   dataflow::AnnotatedFlow annotated;
   std::vector<PlannedAlternative> ranked;  // ascending (cost, chains, form)
-  /// Plans DISCOVERED by the search (kClosure: the closure size; kRanked:
-  /// plans_enumerated + plans_pruned).
+  /// Plans DISCOVERED by the search (plans_enumerated + plans_pruned).
   size_t num_alternatives = 0;
-  /// Plans fully costed. kClosure: equals num_alternatives.
+  /// Plans fully costed. Equals num_alternatives at kAllAlternatives.
   size_t plans_enumerated = 0;
-  /// kRanked only: plans discovered but never costed — their lower bound
-  /// could not displace the top-k.
+  /// Plans discovered but never costed — their lower bound could not
+  /// displace the top-k.
   size_t plans_pruned = 0;
-  /// kRanked only: the anytime stop rule fired before the frontier drained.
-  /// This is the expected fast path, NOT truncation: the top-k is exact over
-  /// the discovered space.
+  /// The anytime stop rule fired before the frontier drained. This is the
+  /// expected fast path, NOT truncation: the top-k is exact over the
+  /// discovered space.
   bool stopped_early = false;
   /// EnumOptions::max_plans was hit: `ranked` covers a partial closure only
   /// (the true optimum may be missing). Never silently dropped — the api
   /// layer warns when this is set.
   bool truncated = false;
-  /// Wall time of the enumerator itself (the streaming enumerate+cost stage
-  /// minus time spent inside physical costing on this thread).
+  /// Wall time of the search minus the time spent in physical costing
+  /// (neighbor generation, bounds, frontier bookkeeping).
   double enumeration_seconds = 0;
-  /// Aggregate time spent inside physical costing, summed across costing
-  /// workers — with N threads this can exceed the stage's wall time.
+  /// Wall time spent inside physical costing.
   double costing_seconds = 0;
 
   /// The cheapest alternative. Optimize() guarantees at least one entry, so
@@ -90,20 +81,12 @@ class BlackBoxOptimizer {
     optimizer::CostWeights weights;
     enumerate::EnumOptions enum_options;
 
-    /// Plan-space exploration strategy; see SearchMode.
-    SearchMode search = SearchMode::kRanked;
-    /// kRanked: ranked alternatives to return (rejected if <= 0).
+    /// Ranked alternatives to return (rejected if <= 0). kAllAlternatives
+    /// costs and ranks every discovered plan.
     int top_k = 8;
-    /// kRanked: anytime slack in absolute cost units (rejected if negative).
-    /// 0 keeps the top-k exact over the discovered space, cost ties included.
+    /// Anytime slack in absolute cost units (rejected if negative). 0 keeps
+    /// the top-k exact over the discovered space, cost ties included.
     double cost_epsilon = 0;
-
-    /// Worker threads for costing enumerated alternatives in kClosure mode
-    /// (streamed through a bounded queue; no enumerate-then-cost barrier).
-    /// The ranked search is serial by construction — its pop order IS the
-    /// algorithm — so kRanked ignores this. Either way the final ranking is
-    /// deterministic for every thread count.
-    int num_threads = 1;
   };
 
   BlackBoxOptimizer() : options_(Options()) {}

@@ -1,10 +1,13 @@
-// Plan-space enumeration (Section 6). Two implementations:
+// Plan-space enumeration (Section 6). PlanNeighbors is the rewrite relation
+// the optimizer's ranked search (ranked.h) walks. Two reference enumerators
+// over it serve as test oracles:
 //
-// 1. EnumerateAlternatives — the production enumerator: computes the closure
-//    of the initial plan under all valid pairwise reorderings (unary swaps,
-//    unary/binary pushes, binary rotations) with canonical-form
-//    deduplication. Handles arbitrary tree-shaped flows with binary
-//    operators, like the paper's implementation.
+// 1. EnumerateAlternatives — breadth-first closure of the initial plan under
+//    all valid pairwise reorderings (unary swaps, unary/binary pushes, binary
+//    rotations) with canonical-form deduplication. Handles arbitrary
+//    tree-shaped flows with binary operators, like the paper's
+//    implementation. The ranked search at top_k = core::kAllAlternatives
+//    must discover exactly this set.
 //
 // 2. EnumerateChainAlgorithm1 — a faithful transcription of the paper's
 //    Algorithm 1 (recursive root-removal with a memo table), restricted to
@@ -15,7 +18,6 @@
 #define BLACKBOX_ENUMERATE_ENUMERATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -39,18 +41,10 @@ struct EnumResult {
   bool truncated = false;               // max_plans hit; partial closure
 };
 
-/// Called once per discovered alternative, in discovery order, with its
-/// position in EnumResult::plans. Lets the caller overlap downstream work
-/// (costing) with enumeration instead of waiting for the full closure.
-using PlanSink = std::function<void(const reorder::PlanPtr&, size_t index)>;
-
 /// Enumerates all data flows derivable from the original flow by valid
-/// pairwise reorderings (closure semantics). If `sink` is non-null it is
-/// invoked synchronously for every plan as it is discovered (including the
-/// original at index 0), before the function returns.
+/// pairwise reorderings (closure semantics), breadth-first.
 StatusOr<EnumResult> EnumerateAlternatives(const dataflow::AnnotatedFlow& af,
-                                           const EnumOptions& options = {},
-                                           const PlanSink& sink = nullptr);
+                                           const EnumOptions& options = {});
 
 /// Algorithm 1 from the paper, for chains of unary operators. Returns an
 /// error if the flow contains binary operators.
@@ -60,9 +54,9 @@ StatusOr<EnumResult> EnumerateChainAlgorithm1(
 /// The closure's edge relation: appends to `out` every plan obtainable from
 /// `plan` by applying exactly one valid rewrite (unary swap, unary/binary
 /// push, binary rotation) somewhere in the tree; `rejected` counts oracle
-/// refusals. Shared by the closure enumerator (BFS over these edges) and the
-/// ranked best-first search (ranked.h), so both walk the identical plan
-/// space.
+/// refusals. Shared by the reference closure enumerator (BFS over these
+/// edges) and the ranked best-first search (ranked.h), so both walk the
+/// identical plan space.
 void PlanNeighbors(const reorder::PlanPtr& plan,
                    const dataflow::DataFlow& flow,
                    const reorder::ReorderOracle& oracle,

@@ -1,15 +1,17 @@
-// Ranked, anytime plan enumeration (DESIGN.md §3.4). Instead of materializing
-// the full reorder closure and costing every member (enumerate.h +
-// optimizer/physical.h), RankedEnumerate walks the same rewrite graph
-// best-first: a frontier of discovered-but-uncosted logical plans ordered by
-// an admissible lower bound (optimizer::LowerBoundCost), popping the most
-// promising plan, costing it fully, and expanding its rewrite neighbors.
-// The search stops as soon as no frontier plan's bound can still displace the
-// current top-k (within cost_epsilon) — the anytime guarantee of "Ranked
-// Enumeration of Join Queries with Projections" (PAPERS.md) adapted to the
-// paper's reorder closure. Equal-cost plans rank by (fewer operator chains,
-// canonical form): fewer chains = fewer pipeline breakers, the chain-aware
-// tie-break carried over from PR 4.
+// Ranked, anytime plan enumeration (DESIGN.md §3.4) — the optimizer's only
+// plan search. Instead of materializing the full reorder closure and costing
+// every member, RankedEnumerate walks the rewrite graph (enumerate.h
+// PlanNeighbors) best-first: a frontier of discovered-but-uncosted logical
+// plans ordered by an admissible lower bound (optimizer::LowerBoundCost),
+// popping the most promising plan, costing it fully, and expanding its
+// rewrite neighbors. The search stops as soon as no frontier plan's bound can
+// still displace the current top-k (within cost_epsilon) — the anytime
+// guarantee of "Ranked Enumeration of Join Queries with Projections"
+// (PAPERS.md) adapted to the paper's reorder closure. With top_k unbounded
+// (core::kAllAlternatives) the stop rule never fires and the search costs the
+// whole closure — full enumeration as the k = infinity case. Equal-cost plans
+// rank by (fewer operator chains, canonical form): fewer chains = fewer
+// pipeline breakers.
 
 #ifndef BLACKBOX_ENUMERATE_RANKED_H_
 #define BLACKBOX_ENUMERATE_RANKED_H_
@@ -73,7 +75,8 @@ struct RankedResult {
 /// cost + cost_epsilon is costed before the search stops, so the returned
 /// top-1 matches the full closure's best whenever the bound steers discovery
 /// to it — validated empirically by the ranked-vs-closure differentials
-/// (tests/enum_random_chain_test.cc, tests/plan_equivalence_test.cc).
+/// (tests/enum_random_chain_test.cc, tests/plan_equivalence_test.cc), which
+/// also check that an unbounded top_k ranks exactly the closure.
 StatusOr<RankedResult> RankedEnumerate(const dataflow::AnnotatedFlow& af,
                                        const optimizer::CostWeights& weights,
                                        const RankedOptions& options = {});

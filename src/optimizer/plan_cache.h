@@ -92,13 +92,12 @@ class PlanCache {
 /// Deterministic cache key for optimizing `flow` under the given provider
 /// and knobs. `weights` must be the RESOLVED weights the optimizer will
 /// actually run with (after any cost_model_follows_exec adjustment).
-/// `search_mode`, `top_k`, `cost_epsilon` describe the plan search
-/// (core::SearchMode passed as int to keep this layer core-agnostic).
+/// `top_k` and `cost_epsilon` describe the ranked plan search.
 std::string PlanCacheKey(const dataflow::DataFlow& flow,
                          const std::string& provider_name,
                          const CostWeights& weights,
                          const enumerate::EnumOptions& enum_options,
-                         int search_mode, int top_k, double cost_epsilon);
+                         int top_k, double cost_epsilon);
 
 }  // namespace optimizer
 }  // namespace blackbox

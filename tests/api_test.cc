@@ -470,6 +470,34 @@ TEST(Optimize, PrunedPlanSpaceIsAnErrorNotACrash) {
   EXPECT_EQ(program.status().code(), Status::Code::kOutOfRange);
 }
 
+TEST(Optimize, TruncationWarningReportsDiscoveredPlans) {
+  // Q7's plan space far exceeds max_plans = 5, and top_k = 2 keeps fewer
+  // plans than were discovered: the warning must report the discovered
+  // count, not the length of the ranked list.
+  workloads::TpchScale scale;
+  scale.lineitems = 800;
+  scale.orders = 150;
+  scale.customers = 40;
+  scale.suppliers = 15;
+  workloads::Workload w = workloads::MakeTpchQ7(scale);
+  api::OptimizeOptions options;
+  options.enum_options.max_plans = 5;
+  options.top_k = 2;
+  options.use_plan_cache = false;
+  ::testing::internal::CaptureStderr();
+  StatusOr<api::OptimizedProgram> program =
+      api::OptimizeFlow(w.flow, api::ScaProvider(), options);
+  std::string warning = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_TRUE(program->truncated());
+  EXPECT_EQ(program->num_alternatives(), 5u);
+  EXPECT_LE(program->ranked().size(), 2u);
+  EXPECT_NE(warning.find("max_plans=5"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("partial plan space of 5 alternatives"),
+            std::string::npos)
+      << warning;
+}
+
 TEST(Optimize, ContradictoryCostModelClusterIsRejected) {
   // cost_model_follows_exec would silently overwrite a deliberately
   // different weights.dop; that contradiction must surface as an error.

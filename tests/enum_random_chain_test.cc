@@ -1,8 +1,10 @@
-// Randomized property test cross-validating the two enumerator
-// implementations on generated unary-operator chains: the production closure
-// enumerator (EnumerateAlternatives) and the paper's Algorithm 1 transcription
+// Randomized property test cross-validating the plan searches on generated
+// unary-operator chains: the breadth-first closure enumerator
+// (EnumerateAlternatives) and the paper's Algorithm 1 transcription
 // (EnumerateChainAlgorithm1) must derive exactly the same plan set — compared
-// by canonical form — for every randomly generated chain of Maps and Reduces.
+// by canonical form — for every randomly generated chain of Maps and Reduces;
+// the optimizer's ranked search at top_k = kAllAlternatives must rank exactly
+// that set, and its default top-k must agree with it on the best plan.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "core/optimizer_api.h"
 #include "dataflow/annotate.h"
 #include "enumerate/enumerate.h"
+#include "tests/closure_oracle.h"
 #include "tests/test_flows.h"
 
 namespace blackbox {
@@ -141,8 +144,9 @@ TEST_P(RandomChainTest, Algorithm1MatchesClosureEnumerator) {
   EXPECT_EQ(closure_set.count(original), 1u);
 }
 
-// The ranked anytime search against the exhaustive closure on the same
-// random chains: the top-1 must agree in cost AND in canonical logical and
+// The full ranking (top_k = kAllAlternatives) must be exactly the
+// breadth-first closure, and the default ranked anytime search (top_k = 8)
+// must agree with it on the top-1 in cost AND in canonical logical and
 // physical (strategy) form. This is the empirical validation of the
 // admissible lower bound (DESIGN.md §3.4) — any bound term that overshoots
 // a real plan's cost shows up here as a pruned optimum.
@@ -153,22 +157,24 @@ TEST_P(RandomChainTest, RankedSearchMatchesClosureTopPlan) {
   dataflow::DataFlow flow;
   int chain_len = 0, reduce_at = -1;
   BuildRandomChain(&rng, &flow, &chain_len, &reduce_at);
+  const std::string context = "seed " + std::to_string(seed) +
+                              ", chain length " + std::to_string(chain_len) +
+                              ", reduce at " + std::to_string(reduce_at);
 
   core::BlackBoxOptimizer::Options closure_opts;
-  closure_opts.search = core::SearchMode::kClosure;
+  closure_opts.top_k = core::kAllAlternatives;
   StatusOr<core::OptimizationResult> closure =
       core::BlackBoxOptimizer(closure_opts).Optimize(flow);
   ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+  testing::ExpectRanksExactlyClosure(closure->annotated, closure->ranked,
+                                     closure->plans_pruned,
+                                     closure->stopped_early, context);
 
-  core::BlackBoxOptimizer::Options ranked_opts;
-  ranked_opts.search = core::SearchMode::kRanked;
+  core::BlackBoxOptimizer::Options ranked_opts;  // default top_k = 8
   StatusOr<core::OptimizationResult> ranked =
       core::BlackBoxOptimizer(ranked_opts).Optimize(flow);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
 
-  const std::string context = "seed " + std::to_string(seed) +
-                              ", chain length " + std::to_string(chain_len) +
-                              ", reduce at " + std::to_string(reduce_at);
   EXPECT_DOUBLE_EQ(ranked->best().cost, closure->best().cost)
       << context << ": ranked top-1 missed the closure best cost\n"
       << flow.ToString();

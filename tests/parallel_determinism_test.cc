@@ -32,14 +32,14 @@ RunOutcome OptimizeAndRun(const workloads::Workload& w, int num_threads,
                           double mem_budget_bytes) {
   api::ScaProvider provider;
   api::OptimizeOptions options;
-  options.exec.num_threads = num_threads;  // costing inherits this
+  options.exec.num_threads = num_threads;
   options.exec.mem_budget_bytes = mem_budget_bytes;
-  // The contract under test is that the PARALLEL closure-costing pipeline
-  // ranks identically to the serial one — so use the closure search (the
-  // ranked search is serial by construction) and force each call to be an
-  // independent optimization rather than a plan-cache alias (thread count
-  // is deliberately not part of the cache key).
-  options.search = core::SearchMode::kClosure;
+  // Optimization is serial at every thread count; only execution varies
+  // with threads. Rank the full closure so the worst plan is executed too,
+  // and force each call to be an independent optimization rather than a
+  // plan-cache alias (thread count is deliberately not part of the cache
+  // key).
+  options.top_k = core::kAllAlternatives;
   options.use_plan_cache = false;
 
   api::SourceBindings sources;

@@ -27,6 +27,7 @@
 #include "api/pipeline.h"
 #include "engine/executor.h"
 #include "reorder/plan.h"
+#include "tests/closure_oracle.h"
 #include "workloads/clickstream.h"
 #include "workloads/textmining.h"
 #include "workloads/tpch.h"
@@ -92,7 +93,7 @@ ClosureStats RunClosure(const workloads::Workload& w,
   options.enum_options.max_plans = 512;
   // The oracle quantifies over the FULL closure, and each (threads, chain)
   // combination must be an independent optimization, not a cache alias.
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllAlternatives;
   options.use_plan_cache = false;
 
   api::SourceBindings sources;
@@ -236,10 +237,12 @@ ModeMatrix RunAllModes(const workloads::Workload& w,
   return m;
 }
 
-// The anytime ranked search must land on the same best-plan cost as the
-// exhaustive closure for every seed workload — the cheap, execution-free
-// half of the ranked-search acceptance bar (the randomized differential in
-// enum_random_chain_test covers arbitrary chains).
+// The anytime ranked search (default top_k = 8) must land on the same
+// best-plan cost as the full ranking (top_k = kAllAlternatives) for every
+// seed workload, and the full ranking must be exactly the breadth-first
+// reorder closure — the cheap, execution-free half of the ranked-search
+// acceptance bar (the randomized differentials in enum_random_chain_test
+// cover arbitrary chains).
 TEST(PlanEquivalence, RankedSearchMatchesClosureBestCost) {
   api::ScaProvider sca;
   for (const workloads::Workload& w :
@@ -247,18 +250,24 @@ TEST(PlanEquivalence, RankedSearchMatchesClosureBestCost) {
                                .customers = 80,
                                .orders = 400,
                                .lineitems = 2000}),
+        workloads::MakeTpchQ15({.suppliers = 20,
+                                .customers = 80,
+                                .orders = 400,
+                                .lineitems = 2000}),
         workloads::MakeTextMining({.documents = 200}),
         workloads::MakeClickstream({.sessions = 200})}) {
     api::OptimizeOptions closure_opts;
-    closure_opts.search = core::SearchMode::kClosure;
+    closure_opts.top_k = core::kAllAlternatives;
     closure_opts.use_plan_cache = false;
     StatusOr<api::OptimizedProgram> closure =
         api::OptimizeFlow(w.flow, sca, closure_opts);
     ASSERT_TRUE(closure.ok()) << w.name << ": "
                               << closure.status().ToString();
+    testing::ExpectRanksExactlyClosure(
+        closure->annotated(), closure->ranked(), closure->plans_pruned(),
+        closure->stopped_early(), w.name);
 
-    api::OptimizeOptions ranked_opts;
-    ranked_opts.search = core::SearchMode::kRanked;
+    api::OptimizeOptions ranked_opts;  // default top_k = 8
     ranked_opts.use_plan_cache = false;
     StatusOr<api::OptimizedProgram> ranked =
         api::OptimizeFlow(w.flow, sca, ranked_opts);

@@ -303,7 +303,7 @@ TEST(FairShareQueueTest, CollectedLaneHistorySurvivesAsFloor) {
   EXPECT_EQ(next->tenant, "b");
 }
 
-TEST(FairShareQueueTest, BoundedQueueRejects) {
+TEST(FairShareQueueTest, FullQueueRejects) {
   serve::FairShareQueue q(2);
   ASSERT_TRUE(q.Enqueue("a", 1).ok());
   ASSERT_TRUE(q.Enqueue("b", 2).ok());

@@ -23,7 +23,7 @@ size_t CountAlternatives(const Workload& w, AnnotationMode mode) {
   BlackBoxOptimizer::Options opts;
   opts.mode = mode;
   // Table 1 counts the FULL closure; the default ranked search stops early.
-  opts.search = core::SearchMode::kClosure;
+  opts.top_k = core::kAllAlternatives;
   BlackBoxOptimizer optimizer(opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -38,7 +38,7 @@ void CheckAllPlansEquivalent(const Workload& w, AnnotationMode mode,
   BlackBoxOptimizer::Options opts;
   opts.mode = mode;
   // The safety contract quantifies over EVERY valid reordering.
-  opts.search = core::SearchMode::kClosure;
+  opts.top_k = core::kAllAlternatives;
   BlackBoxOptimizer optimizer(opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -159,7 +159,7 @@ TEST(Conservatism, ScaPlanSetIsSubsetOfManual) {
       BlackBoxOptimizer::Options opts;
       opts.mode = mode;
       // Subset inclusion must compare full closures, not ranked top-k's.
-      opts.search = core::SearchMode::kClosure;
+      opts.top_k = core::kAllAlternatives;
       StatusOr<core::OptimizationResult> r =
           BlackBoxOptimizer(opts).Optimize(w.flow);
       EXPECT_TRUE(r.ok());

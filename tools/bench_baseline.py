@@ -36,14 +36,16 @@ ledger violations, outputs_match, zero failed queries, and both
 cancellation probes counted.
 
 BENCH_enum_time.json (CI's enum-smoke step, DESIGN.md §3.4) is split the
-same way: the search counters (closure alternatives, ranked plans
-enumerated / pruned / stopped_early at the default top_k budget) and best
-costs are deterministic and pinned against the baseline; the wall-clock
-fields are not compared, except the one wall-clock acceptance bar this
-repo's ranked search carries — the TPC-H Q7 ranked-vs-closure optimize
-speedup must stay >= 10x (closure costs ~17x more plans there, so the bar
-has real slack). Check mode also re-asserts the binary's own invariants:
-ok, every best_cost_equal, and every cache warm_hit.
+same way: the search counters (closure alternatives — the ranked search at
+top_k = kAllAlternatives, which must cost every discovered plan — and
+ranked plans enumerated / pruned / stopped_early at the default top_k
+budget) and best costs are deterministic and pinned against the baseline;
+the wall-clock fields are not compared, except the one wall-clock
+acceptance bar this repo's ranked search carries — the TPC-H Q7
+ranked-vs-closure optimize speedup must stay >= 10x (closure costs ~17x
+more plans there, so the bar has real slack). Check mode also re-asserts
+the binary's own invariants: ok (which enum_time clears if the closure run
+pruned or stopped early), every best_cost_equal, and every cache warm_hit.
 
 BENCH_spec_smoke.json (CI's specialization-smoke step, DESIGN.md §2.6) is
 fully deterministic: both modes, check and write re-assert byte-identical
