@@ -91,8 +91,8 @@ bool RunConfig(const workloads::Workload& w, const Config& cfg,
   options.weights.enable_combiner = cfg.combiner;
   options.weights.enable_chain_fusion = cfg.chain_costing;
   options.weights.enable_spill = cfg.spill_costing;
-  options.weights.enable_data_skipping = cfg.data_skipping;
   options.weights.enable_chain_specialization = cfg.specialize;
+  options.exec.enable_data_skipping = cfg.data_skipping;
   options.exec.enable_chain_specialization = cfg.specialize;
 
   api::SourceBindings sources;

@@ -16,7 +16,7 @@
 #include "common/status.h"
 #include "dataflow/annotate.h"
 #include "dataflow/flow.h"
-#include "optimizer/profiler.h"
+#include "engine/profiler.h"
 #include "record/record.h"
 
 namespace blackbox {
@@ -71,14 +71,16 @@ class ManualProvider : public AnnotationProvider {
 };
 
 /// Profiler-refined hints (§7.1 lists runtime profiling as a hint source;
-/// §9 names it as future work): executes the original flow over a sample of
-/// every bound source, writes the measured selectivity / CPU cost / distinct
-/// keys into the operators' hints, then annotates with `base_mode`. Requires
-/// data to be bound for every source before Optimize().
+/// §9 names it as future work): runs the original flow on engine::Executor
+/// over a seeded sample of every bound source (engine/profiler.h), writes
+/// the metered selectivity, modeled CPU cost per call and distinct keys into
+/// the operators' hints, then annotates with `base_mode`. The hints are a
+/// pure function of flow and data — no wall-clock reading. Requires data to
+/// be bound for every source before Optimize().
 class ProfilerProvider : public AnnotationProvider {
  public:
   struct Options {
-    optimizer::ProfileOptions profile;
+    engine::ProfileOptions profile;
     /// How the read/write sets themselves are obtained; profiling only
     /// refines the cost hints.
     dataflow::AnnotationMode base_mode = dataflow::AnnotationMode::kSca;

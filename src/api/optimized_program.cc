@@ -187,10 +187,8 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   OptimizedProgram program;
   program.sources_ = sources;
   program.exec_ = options.exec;
-  // The ablation switch lives on the weights (one flag per optimizer
-  // feature); skipping runs only when neither side disabled it.
-  program.exec_.enable_data_skipping =
-      options.exec.enable_data_skipping && options.weights.enable_data_skipping;
+  // Specialization is also a cost-model term, so it runs only when neither
+  // side disabled it.
   program.exec_.enable_chain_specialization =
       options.exec.enable_chain_specialization &&
       options.weights.enable_chain_specialization;

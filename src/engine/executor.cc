@@ -350,27 +350,36 @@ class ExecContext {
         }
       }
     }
-    const dataflow::Operator& op = af_.flow->op(n->op_id);
+    StatusOr<Partitions> out = ExecProducer(*n, plan);
+    // The chain's output size, attributed to its producer (NodeMeters).
+    if (out.ok() && stats_) {
+      int64_t rows = 0;
+      for (const auto& part : *out) rows += static_cast<int64_t>(part->rows());
+      stats_->per_node[n->op_id].rows_out += rows;
+    }
+    return out;
+  }
+
+  StatusOr<Partitions> ExecProducer(const PhysicalNode& n,
+                                    const ChainPlan& plan) {
+    const dataflow::Operator& op = af_.flow->op(n.op_id);
     switch (op.kind) {
       case OpKind::kSource:
-        return Scan(*n, plan);
-      case OpKind::kSink: {
+        return Scan(n, plan);
+      case OpKind::kSink:
         // Unfused mode only (a forward-shipped sink is always a stage when
         // fusing): projection to the sink schema happens in Execute().
-        StatusOr<Partitions> in = Exec(*n->children[0]);
-        if (!in.ok()) return in.status();
-        return in;
-      }
+        return Exec(*n.children[0]);
       case OpKind::kMap:
-        return ExecMap(*n, op, plan);
+        return ExecMap(n, op, plan);
       case OpKind::kReduce:
-        return ExecReduce(*n, op, plan);
+        return ExecReduce(n, op, plan);
       case OpKind::kMatch:
-        return ExecMatch(*n, op, plan);
+        return ExecMatch(n, op, plan);
       case OpKind::kCross:
-        return ExecCross(*n, op, plan);
+        return ExecCross(n, op, plan);
       case OpKind::kCoGroup:
-        return ExecCoGroup(*n, op, plan);
+        return ExecCoGroup(n, op, plan);
     }
     return Status::Internal("unreachable operator kind");
   }
@@ -504,11 +513,12 @@ class ExecContext {
   }
 
   /// Runs body(pi, &meters) for every partition as independent tasks on the
-  /// pool. The per-partition meters are merged into stats_ in partition
-  /// order and the lowest-partition error (if any) is returned, so both the
-  /// outcome and the meters are independent of scheduling order.
+  /// pool. The per-partition meters are merged into stats_ — and their UDF
+  /// work into node `node_id`'s NodeMeters — in partition order, and the
+  /// lowest-partition error (if any) is returned, so both the outcome and
+  /// the meters are independent of scheduling order.
   Status ForEachPartition(
-      const std::function<Status(size_t, ExecStats*)>& body) {
+      int node_id, const std::function<Status(size_t, ExecStats*)>& body) {
     const size_t n = static_cast<size_t>(options_.dop);
     std::vector<Status> statuses(n);
     std::vector<ExecStats> meters(n);
@@ -529,7 +539,13 @@ class ExecContext {
       if (!statuses[pi].ok()) return statuses[pi];
     }
     if (stats_) {
-      for (size_t pi = 0; pi < n; ++pi) stats_->AddCounters(meters[pi]);
+      NodeMeters& node = stats_->per_node[node_id];
+      for (size_t pi = 0; pi < n; ++pi) {
+        stats_->AddCounters(meters[pi]);
+        node.udf_calls += meters[pi].udf_calls;
+        node.interp_instructions += meters[pi].interp_instructions;
+        node.cpu_burn_units += meters[pi].cpu_burn_units;
+      }
     }
     return Status::OK();
   }
@@ -554,7 +570,8 @@ class ExecContext {
     // full-range. The widened record enters the chain: with fused stages
     // above, it streams through them batch-wise and never materializes on
     // its own.
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    Status st = ForEachPartition(node.op_id, [&](size_t pi,
+                                                 ExecStats* meters) -> Status {
       ChainRunner runner(&chain, options_.batch_capacity, parts[pi].get(),
                          meters, options_.cancel);
       const size_t lo = pi * src.size() / dop;
@@ -687,7 +704,8 @@ class ExecContext {
       refuter = sca::BatchRefuter::Make(*op.udf, t);
     }
     Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    Status st = ForEachPartition(node.op_id, [&](size_t pi,
+                                                 ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());  // task-local interpreter
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
@@ -752,7 +770,7 @@ class ExecContext {
                        const std::vector<AttrId>& key,
                        const FieldTranslation& t, bool presorted,
                        const ChainPlan& chain, Partitions* out) {
-    return ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    return ForEachPartition(op.id, [&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
       ChainRunner runner(&chain, options_.batch_capacity, (*out)[pi].get(),
                          meters, options_.cancel);
@@ -1008,8 +1026,8 @@ class ExecContext {
     FieldTranslation t = MakeTranslation(node);
     if (node.local == LocalStrategy::kSortMergeJoin) {
       Partitions out = NewPartitions();
-      Status st =
-          ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+      Status st = ForEachPartition(
+          node.op_id, [&](size_t pi, ExecStats* meters) -> Status {
             Interpreter interp(op.udf.get());
             ChainRunner runner(&chain, options_.batch_capacity,
                                out[pi].get(), meters, options_.cancel);
@@ -1027,7 +1045,8 @@ class ExecContext {
     }
     bool build_left = node.local == LocalStrategy::kHashJoinBuildLeft;
     Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    Status st = ForEachPartition(node.op_id, [&](size_t pi,
+                                                 ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
@@ -1131,7 +1150,8 @@ class ExecContext {
     Partitions right = std::move(rs).value();
     FieldTranslation t = MakeTranslation(node);
     Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    Status st = ForEachPartition(node.op_id, [&](size_t pi,
+                                                 ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
@@ -1220,7 +1240,8 @@ class ExecContext {
     Partitions right = std::move(rs).value();
     FieldTranslation t = MakeTranslation(node);
     Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+    Status st = ForEachPartition(node.op_id, [&](size_t pi,
+                                                 ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
@@ -1305,6 +1326,13 @@ void ExecStats::AddCounters(const ExecStats& other) {
   fused_chains += other.fused_chains;
   specialized_instructions_saved += other.specialized_instructions_saved;
   projected_fields_skipped += other.projected_fields_skipped;
+}
+
+double ModeledUdfSeconds(int64_t interp_instructions, int64_t cpu_burn_units,
+                         const ExecOptions& options) {
+  return static_cast<double>(interp_instructions) /
+             options.interp_instructions_per_s +
+         static_cast<double>(cpu_burn_units) / options.cpu_burn_units_per_s;
 }
 
 std::string ExecStats::ToString() const {
@@ -1395,10 +1423,8 @@ StatusOr<DataSet> Executor::Execute(const optimizer::PhysicalPlan& plan,
     // deliberately NOT of wall_seconds: the simulated cluster's runtime must
     // not depend on how many real threads executed the simulation.
     double compute_seconds =
-        static_cast<double>(stats->interp_instructions) /
-            options_.interp_instructions_per_s +
-        static_cast<double>(stats->cpu_burn_units) /
-            options_.cpu_burn_units_per_s +
+        ModeledUdfSeconds(stats->interp_instructions, stats->cpu_burn_units,
+                          options_) +
         static_cast<double>(stats->records_processed) / options_.records_per_s;
     stats->simulated_seconds =
         compute_seconds +

@@ -170,6 +170,20 @@ struct ExecOptions {
   double records_per_s = 2e6;               // per-record engine overhead
 };
 
+/// Meters of one plan node, the per-operator view of ExecStats' totals.
+/// With fuse_chains off every node is its own chain and the entry is that
+/// operator's alone; with fusing on, the entry is its chain's (every fused
+/// stage's calls and the chain's final output) attributed to the chain's
+/// producer (scan or breaker), and fused stages have no entry of their own.
+struct NodeMeters {
+  int64_t udf_calls = 0;
+  int64_t interp_instructions = 0;
+  int64_t cpu_burn_units = 0;
+  int64_t rows_out = 0;  // records in the node's (chain's) output partitions
+
+  bool operator==(const NodeMeters&) const = default;
+};
+
 /// Metered resources of one plan execution. The same quantities the cost
 /// model estimates, but measured. Every field except wall_seconds is a pure
 /// function of (plan, data, dop, mem_budget, fuse_chains,
@@ -233,6 +247,11 @@ struct ExecStats {
   /// is outside the ledger, like the bound source DataSets.
   int64_t peak_bytes = 0;
 
+  /// Per-node meters keyed by op id (see NodeMeters). Summed over all
+  /// entries, udf_calls, interp_instructions and cpu_burn_units equal the
+  /// totals above.
+  std::map<int, NodeMeters> per_node;
+
   double wall_seconds = 0;  // real elapsed time (varies with num_threads)
 
   /// The "execution runtime" the figure benchmarks report: modeled compute
@@ -242,12 +261,21 @@ struct ExecStats {
   double simulated_seconds = 0;
 
   /// Adds the additive meters (bytes, calls, records) of `other` into this;
-  /// leaves the derived time fields and the peak_bytes high-water mark
-  /// untouched. Used to merge per-partition task meters in partition order.
+  /// leaves the derived time fields, the peak_bytes high-water mark and the
+  /// per-node table untouched. Used to merge per-partition task meters in
+  /// partition order.
   void AddCounters(const ExecStats& other);
 
   std::string ToString() const;
 };
+
+/// Modeled seconds of UDF compute under the machine model: interpreter
+/// instructions and CpuBurn units over their throughputs. The one place
+/// this formula lives — simulated_seconds adds it to the record, network
+/// and disk terms, and the profiler divides it by calls for a per-call CPU
+/// cost hint.
+double ModeledUdfSeconds(int64_t interp_instructions, int64_t cpu_burn_units,
+                         const ExecOptions& options);
 
 /// Executes physical plans against source data sets. Source records use the
 /// source's own layout (arity = source_arity); the executor widens them to

@@ -75,15 +75,6 @@ struct CostWeights {
                              // the engine still performs (and meters) them —
                              // the ablation isolating how much plan quality
                              // the spill term buys (DESIGN.md §2.3)
-  bool enable_data_skipping = true;  // zone-map data skipping in the engine
-                                     // (DESIGN.md §2.5). An execution switch
-                                     // surfaced here for the ablation matrix:
-                                     // the API propagates it into
-                                     // ExecOptions::enable_data_skipping, so
-                                     // one flag flips both estimate and run.
-                                     // No cost term reads it — skipping never
-                                     // changes the byte meters the model
-                                     // prices, only elided CPU work.
   bool enable_chain_specialization = true;  // fused-chain TAC specialization
                                             // (DESIGN.md §2.6): Map stages in
                                             // a fused chain execute as one

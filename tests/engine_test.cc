@@ -1,5 +1,6 @@
 // Execution engine tests: the Section 3 example end to end, byte metering of
-// shipping strategies, and estimate-vs-measured sanity.
+// shipping strategies, estimate-vs-measured sanity, and the per-node meter
+// table.
 
 #include "engine/executor.h"
 
@@ -8,6 +9,8 @@
 #include "common/rng.h"
 #include "core/optimizer_api.h"
 #include "tests/test_flows.h"
+#include "workloads/clickstream.h"
+#include "workloads/tpch.h"
 
 namespace blackbox {
 namespace engine {
@@ -123,6 +126,90 @@ TEST(Engine, DopOneAndManyProduceSameResult) {
   ASSERT_TRUE(out1.ok());
   ASSERT_TRUE(out8.ok());
   EXPECT_TRUE(out1->BagEquals(*out8));
+}
+
+std::unique_ptr<optimizer::PhysicalNode> CloneSubtree(
+    const optimizer::PhysicalNode& n) {
+  auto out = std::make_unique<optimizer::PhysicalNode>();
+  out->op_id = n.op_id;
+  out->ships = n.ships;
+  out->local = n.local;
+  out->input_presorted = n.input_presorted;
+  out->sort_order = n.sort_order;
+  out->chain_id = n.chain_id;
+  for (const auto& c : n.children) out->children.push_back(CloneSubtree(*c));
+  return out;
+}
+
+/// Unfused, every node is its own chain: the per-node table must split the
+/// UDF totals exactly, and each non-source node's rows_out must be the
+/// record count of its own output — what executing the subtree it roots
+/// returns.
+void ExpectPerNodeMetersSplitTotals(const workloads::Workload& w) {
+  SCOPED_TRACE(w.name);
+  BlackBoxOptimizer optimizer;
+  StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExecOptions eo;
+  eo.dop = 4;
+  eo.fuse_chains = false;
+  auto bind = [&](Executor* exec) {
+    for (const auto& [id, data] : w.source_data) exec->BindSource(id, &data);
+  };
+  Executor exec(&result->annotated, eo);
+  bind(&exec);
+  const optimizer::PhysicalPlan& plan = result->best().physical;
+  ExecStats stats;
+  StatusOr<DataSet> out = exec.Execute(plan, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+  int64_t calls = 0, instrs = 0, burn = 0;
+  for (const auto& [id, m] : stats.per_node) {
+    calls += m.udf_calls;
+    instrs += m.interp_instructions;
+    burn += m.cpu_burn_units;
+  }
+  EXPECT_EQ(calls, stats.udf_calls);
+  EXPECT_EQ(instrs, stats.interp_instructions);
+  EXPECT_EQ(burn, stats.cpu_burn_units);
+  EXPECT_GT(stats.cpu_burn_units + stats.interp_instructions, 0);
+
+  std::vector<const optimizer::PhysicalNode*> stack = {plan.root.get()};
+  int checked = 0;
+  while (!stack.empty()) {
+    const optimizer::PhysicalNode* n = stack.back();
+    stack.pop_back();
+    for (const auto& c : n->children) stack.push_back(c.get());
+    if (w.flow.op(n->op_id).kind == dataflow::OpKind::kSource) continue;
+    SCOPED_TRACE("op " + std::to_string(n->op_id));
+    optimizer::PhysicalPlan sub;
+    sub.root = CloneSubtree(*n);
+    Executor sub_exec(&result->annotated, eo);
+    bind(&sub_exec);
+    StatusOr<DataSet> sub_out = sub_exec.Execute(sub);
+    ASSERT_TRUE(sub_out.ok()) << sub_out.status().ToString();
+    ASSERT_EQ(stats.per_node.count(n->op_id), 1u);
+    EXPECT_EQ(stats.per_node.at(n->op_id).rows_out,
+              static_cast<int64_t>(sub_out->size()));
+    ++checked;
+  }
+  EXPECT_EQ(checked, w.flow.num_ops() - static_cast<int>(w.source_data.size()));
+  EXPECT_EQ(stats.per_node.at(plan.root->op_id).rows_out, stats.output_rows);
+}
+
+TEST(Engine, PerNodeMetersSplitTotalsOnQ7) {
+  workloads::TpchScale scale;
+  scale.lineitems = 2000;
+  scale.orders = 500;
+  scale.customers = 100;
+  scale.suppliers = 25;
+  ExpectPerNodeMetersSplitTotals(workloads::MakeTpchQ7(scale));
+}
+
+TEST(Engine, PerNodeMetersSplitTotalsOnClickstream) {
+  workloads::ClickstreamScale scale;
+  scale.sessions = 300;
+  ExpectPerNodeMetersSplitTotals(workloads::MakeClickstream(scale));
 }
 
 }  // namespace

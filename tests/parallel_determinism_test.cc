@@ -86,6 +86,14 @@ void ExpectIdenticalMeters(const engine::ExecStats& a,
   EXPECT_EQ(a.cpu_burn_units, b.cpu_burn_units);
   EXPECT_EQ(a.records_processed, b.records_processed);
   EXPECT_EQ(a.output_rows, b.output_rows);
+  EXPECT_EQ(a.skipped_batches, b.skipped_batches);
+  EXPECT_EQ(a.skipped_spill_bytes, b.skipped_spill_bytes);
+  EXPECT_EQ(a.fused_chains, b.fused_chains);
+  EXPECT_EQ(a.specialized_instructions_saved,
+            b.specialized_instructions_saved);
+  EXPECT_EQ(a.projected_fields_skipped, b.projected_fields_skipped);
+  EXPECT_EQ(a.peak_bytes, b.peak_bytes);
+  EXPECT_TRUE(a.per_node == b.per_node);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
 }
 

@@ -1,9 +1,10 @@
 // Tests for the runtime profiler (the paper's §9 future-work item): measured
 // selectivities / key cardinalities must approximate the known ground truth
-// of the workload generators, and the optimizer fed with profiled hints must
-// agree with the manually hinted one on the best plan.
+// of the workload generators, the optimizer fed with profiled hints must
+// agree with the manually hinted one on the best plan, and the profile is a
+// pure function of flow, data and options.
 
-#include "optimizer/profiler.h"
+#include "engine/profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include "workloads/tpch.h"
 
 namespace blackbox {
-namespace optimizer {
+namespace engine {
 namespace {
 
 std::map<int, const DataSet*> SourcePtrs(const workloads::Workload& w) {
@@ -59,6 +60,11 @@ TEST(Profiler, ScalesDistinctKeysToFullDataSize) {
   const OperatorProfile& gamma = profile->per_op.at(4);
   EXPECT_GE(gamma.distinct_keys_scaled, 100);
   EXPECT_LE(gamma.distinct_keys_scaled, 1000);
+
+  // The Match's key domain l_rows · r_rows / calls needs no upscaling: each
+  // revenue group meets exactly one of the 100 (unsampled) suppliers, so it
+  // is 100 · groups / groups whatever the sample kept.
+  EXPECT_EQ(profile->per_op.at(5).distinct_keys_scaled, 100);
 }
 
 TEST(Profiler, ProfiledHintsReproduceTheManualBestPlan) {
@@ -95,6 +101,33 @@ TEST(Profiler, ProfiledHintsReproduceTheManualBestPlan) {
       reorder::CanonicalString(with_profiled_hints->best().logical));
 }
 
+TEST(Profiler, ProfileIsDeterministic) {
+  workloads::TpchScale tpch;
+  tpch.lineitems = 20000;
+  tpch.suppliers = 100;
+  workloads::ClickstreamScale clicks;
+  clicks.sessions = 4000;
+  clicks.users = 400;
+  for (const workloads::Workload& w :
+       {workloads::MakeTpchQ15(tpch), workloads::MakeClickstream(clicks)}) {
+    SCOPED_TRACE(w.name);
+    StatusOr<FlowProfile> first = ProfileFlow(w.flow, SourcePtrs(w));
+    StatusOr<FlowProfile> second = ProfileFlow(w.flow, SourcePtrs(w));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_FALSE(first->per_op.empty());
+    EXPECT_EQ(first->per_op.size(), second->per_op.size());
+    for (const auto& [id, prof] : first->per_op) {
+      SCOPED_TRACE("op " + std::to_string(id));
+      const OperatorProfile& again = second->per_op.at(id);
+      EXPECT_EQ(prof.calls, again.calls);
+      EXPECT_EQ(prof.emitted, again.emitted);
+      EXPECT_EQ(prof.modeled_seconds, again.modeled_seconds);
+      EXPECT_EQ(prof.distinct_keys_scaled, again.distinct_keys_scaled);
+    }
+  }
+}
+
 TEST(Profiler, FailsWithoutSourceData) {
   workloads::Workload w = workloads::MakeTpchQ15({});
   std::map<int, const DataSet*> empty;
@@ -123,5 +156,5 @@ TEST(Profiler, ApplyProfileNormalizesCpuCosts) {
 }
 
 }  // namespace
-}  // namespace optimizer
+}  // namespace engine
 }  // namespace blackbox
